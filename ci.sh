@@ -227,6 +227,33 @@ else
   echo "== SKIPPED: python3 not installed — telemetry schema + perf gate NOT run ==" >&2
 fi
 
+echo "== perfbench: one short run per workload (correctness, no timing gate) =="
+# The repo's benchmark (perfbench/, BENCHMARK.json) in a Release,
+# sanitizer-free build of its own: each workload replays a few seconds and
+# checks byte-exact reconstruction, its byte ledger against the server's
+# metrics and (table2) the Table II savings floors. Only the verdict is
+# gated; timings on a shared CI host are not.
+if command -v python3 >/dev/null 2>&1; then
+  for workload in table2 pool churn; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 \
+      > "build/perfbench-$workload.out"
+    python3 - "build/perfbench-$workload.out" "$workload" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    lines = [line for line in f.read().splitlines() if line.strip()]
+result = json.loads(lines[-1]) if lines else {}
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"ci.sh: perfbench {sys.argv[2]} run was not clean: "
+             f"correct={result.get('correct')} failed={result.get('failed')}")
+rate = result["metrics"]["req_per_s"]["value"]
+print(f"perfbench {sys.argv[2]}: correct, 0 failed "
+      f"({result.get('attempted')} requests, {rate:.0f} req/s, not gated)")
+EOF
+  done
+else
+  echo "== SKIPPED: python3 not installed — perfbench correctness stage NOT run ==" >&2
+fi
+
 echo "== contracts audit build (CBDE_CONTRACTS=audit) + full ctest =="
 # Audit level turns every CBDE_ENSURE / CBDE_ASSERT_INVARIANT into a live
 # throwing check; the whole suite must stay green with postconditions and

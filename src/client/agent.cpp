@@ -6,6 +6,7 @@
 #include "delta/delta.hpp"
 #include "delta/inplace.hpp"
 #include "delta/ir.hpp"
+#include "util/hash.hpp"
 
 namespace cbde::client {
 
@@ -16,7 +17,8 @@ std::optional<std::uint32_t> ClientAgent::base_version(std::uint64_t class_id) c
 }
 
 void ClientAgent::store_base(BaseRef ref, util::Bytes base) {
-  bases_[ref.class_id] = Slot{ref.version, std::move(base)};
+  const std::uint32_t crc = util::crc32(util::as_view(base));
+  bases_[ref.class_id] = Slot{ref.version, std::move(base), crc};
   ++stats_.bases_stored;
 }
 
@@ -31,7 +33,9 @@ util::Bytes ClientAgent::reconstruct(BaseRef ref, util::BytesView wire_delta,
     const util::Bytes raw =
         compressed ? compress::decompress(wire_delta)
                    : util::Bytes(wire_delta.begin(), wire_delta.end());
-    util::Bytes doc = delta::apply(util::as_view(it->second.base), util::as_view(raw));
+    util::Bytes doc;
+    delta::apply_into(util::as_view(it->second.base), it->second.base_crc,
+                      util::as_view(raw), doc);
     ++stats_.deltas_applied;
     stats_.bytes_reconstructed += doc.size();
     return doc;

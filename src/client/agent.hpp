@@ -65,6 +65,7 @@ class ClientAgent {
   struct Slot {
     std::uint32_t version = 0;
     util::Bytes base;
+    std::uint32_t base_crc = 0;  ///< crc32(base), hashed once at store time
   };
   std::unordered_map<std::uint64_t, Slot> bases_;
   AgentStats stats_;

@@ -24,32 +24,14 @@ void BitWriter::write_byte(std::uint8_t byte) {
   out_.push_back(byte);
 }
 
-std::uint32_t BitReader::read_bits(int nbits) {
-  CBDE_EXPECT(nbits >= 0 && nbits <= 24);
-  while (nbuffered_ < nbits) {
-    if (pos_ >= in_.size()) {
-      throw std::invalid_argument("BitReader: read past end of input");
-    }
-    buffer_ = (buffer_ << 8) | in_[pos_++];
-    nbuffered_ += 8;
-  }
-  nbuffered_ -= nbits;
-  const std::uint32_t value = (buffer_ >> nbuffered_) & ((nbits == 32 ? 0 : (1u << nbits)) - 1);
-  buffer_ &= (1u << nbuffered_) - 1;
-  return value;
-}
-
-void BitReader::align_to_byte() {
-  buffer_ = 0;
-  nbuffered_ = 0;
-}
-
 std::uint8_t BitReader::read_byte() {
-  CBDE_EXPECT(nbuffered_ == 0);
-  if (pos_ >= in_.size()) {
+  CBDE_EXPECT((avail_ & 7) == 0);
+  if (avail_ > 0) return static_cast<std::uint8_t>(read_bits(8));
+  if (next_ >= in_.size()) {
     throw std::invalid_argument("BitReader: read past end of input");
   }
-  return in_[pos_++];
+  window_ = 0;  // drop any preloaded bits of the byte taken here
+  return in_[next_++];
 }
 
 }  // namespace cbde::compress

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "compress/bitio.hpp"
 #include "compress/huffman.hpp"
@@ -38,27 +39,89 @@ constexpr std::array<std::uint8_t, 30> kDistExtra = {0, 0, 0,  0,  1,  1,  2,  2
                                                      4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
                                                      9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
+/// Last index whose base is <= v: the DEFLATE code of value v.
+template <std::size_t M>
+constexpr std::uint8_t code_of(const std::array<std::uint16_t, M>& base, std::size_t v) {
+  std::size_t code = 0;
+  while (code + 1 < M && base[code + 1] <= v) ++code;
+  return static_cast<std::uint8_t>(code);
+}
+
+/// Code lookups computed at compile time, so emitting a token costs two
+/// loads instead of two binary searches. Distances use zlib's 512-entry
+/// folding: every distance base above 256 is 1 + a multiple of 128, so
+/// (dist - 1) >> 7 identifies the code there.
+constexpr auto kLengthCode = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> table{};
+  for (std::size_t len = kMinMatch; len <= kMaxMatch; ++len) table[len] = code_of(kLenBase, len);
+  return table;
+}();
+constexpr auto kDistanceCode = [] {
+  std::array<std::uint8_t, 512> table{};
+  for (std::size_t d = 0; d < 256; ++d) table[d] = code_of(kDistBase, d + 1);
+  for (std::size_t d = 256; d < 512; ++d) table[d] = code_of(kDistBase, ((d - 256) << 7) + 1);
+  return table;
+}();
+
 std::size_t length_code(std::size_t len) {
   CBDE_ASSERT(len >= kMinMatch && len <= kMaxMatch);
-  // Last code whose base <= len.
-  auto it = std::upper_bound(kLenBase.begin(), kLenBase.end(), len);
-  return static_cast<std::size_t>(it - kLenBase.begin()) - 1;
+  return kLengthCode[len];
 }
 
 std::size_t distance_code(std::size_t dist) {
   CBDE_ASSERT(dist >= 1 && dist <= kWindowSize);
-  auto it = std::upper_bound(kDistBase.begin(), kDistBase.end(), dist);
-  return static_cast<std::size_t>(it - kDistBase.begin()) - 1;
+  return dist <= 256 ? kDistanceCode[dist - 1] : kDistanceCode[256 + ((dist - 1) >> 7)];
 }
 
 void write_lengths_nibbles(BitWriter& w, const std::vector<std::uint8_t>& lengths) {
   for (auto len : lengths) w.write_bits(len, 4);
 }
 
-std::vector<std::uint8_t> read_lengths_nibbles(BitReader& r, std::size_t count) {
-  std::vector<std::uint8_t> lengths(count);
+template <std::size_t N>
+std::array<std::uint8_t, N> read_lengths_nibbles(BitReader& r) {
+  std::array<std::uint8_t, N> lengths;
   for (auto& len : lengths) len = static_cast<std::uint8_t>(r.read_bits(4));
   return lengths;
+}
+
+/// Append the `len`-byte match `dist` bytes back. Non-overlapping matches
+/// are one memcpy; an overlapping one (dist < len, a run) repeats its
+/// period, which a forward byte copy does by construction.
+void copy_match(util::Bytes& out, std::size_t dist, std::size_t len) {
+  const std::size_t old_size = out.size();
+  out.resize(old_size + len);
+  std::uint8_t* dst = out.data() + old_size;
+  const std::uint8_t* src = dst - dist;
+  if (dist >= len) {
+    std::memcpy(dst, src, len);
+  } else {
+    for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+  }
+}
+
+/// Decode one Huffman block's tables and token stream into `out`.
+void decode_huffman_block(BitReader& r, util::Bytes& out, std::size_t declared) {
+  const auto lit_lengths = read_lengths_nibbles<kNumLitLen>(r);
+  const auto dist_lengths = read_lengths_nibbles<kNumDist>(r);
+  const HuffmanDecoder lit_dec(lit_lengths);
+  const HuffmanDecoder dist_dec(dist_lengths);
+  while (true) {
+    const std::size_t sym = lit_dec.decode(r);
+    if (sym < 256) {
+      out.push_back(static_cast<std::uint8_t>(sym));  // lint: growth-ok decompress_into reserved the declared size
+      continue;
+    }
+    if (sym == kEob) return;
+    const std::size_t lc = sym - 257;
+    if (lc >= kLenBase.size()) throw CorruptInput("cbz: bad length code");
+    const std::size_t len = kLenBase[lc] + r.read_bits(kLenExtra[lc]);
+    const std::size_t dc = dist_dec.decode(r);
+    if (dc >= kDistBase.size()) throw CorruptInput("cbz: bad distance code");
+    const std::size_t dist = kDistBase[dc] + r.read_bits(kDistExtra[dc]);
+    if (dist == 0 || dist > out.size()) throw CorruptInput("cbz: distance out of range");
+    if (out.size() + len > declared) throw CorruptInput("cbz: output exceeds declared size");
+    copy_match(out, dist, len);
+  }
 }
 
 /// Emit one block. Falls back to a stored block if the Huffman encoding
@@ -182,28 +245,7 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
     }
     BitReader r(input.subspan(pos));
     try {
-      const auto lit_lengths = read_lengths_nibbles(r, kNumLitLen);
-      const auto dist_lengths = read_lengths_nibbles(r, kNumDist);
-      HuffmanDecoder lit_dec(lit_lengths);
-      HuffmanDecoder dist_dec(dist_lengths);
-      while (true) {
-        const std::size_t sym = lit_dec.decode(r);
-        if (sym == kEob) break;
-        if (sym < 256) {
-          out.push_back(static_cast<std::uint8_t>(sym));
-          continue;
-        }
-        const std::size_t lc = sym - 257;
-        if (lc >= kLenBase.size()) throw CorruptInput("cbz: bad length code");
-        const std::size_t len = kLenBase[lc] + r.read_bits(kLenExtra[lc]);
-        const std::size_t dc = dist_dec.decode(r);
-        if (dc >= kDistBase.size()) throw CorruptInput("cbz: bad distance code");
-        const std::size_t dist = kDistBase[dc] + r.read_bits(kDistExtra[dc]);
-        if (dist == 0 || dist > out.size()) throw CorruptInput("cbz: distance out of range");
-        const std::size_t start = out.size() - dist;
-        for (std::size_t i = 0; i < len; ++i) out.push_back(out[start + i]);
-        if (out.size() > *size) throw CorruptInput("cbz: output exceeds declared size");
-      }
+      decode_huffman_block(r, out, static_cast<std::size_t>(*size));
     } catch (const std::invalid_argument& e) {
       throw CorruptInput(std::string("cbz: ") + e.what());
     }

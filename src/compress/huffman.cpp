@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
@@ -15,18 +14,24 @@ struct Node {
   int left;    // index into node pool, -1 for leaf
   int right;   // index into node pool, -1 for leaf
   int symbol;  // valid for leaves
+  int depth;   // set by assign_depths
 };
 
-void assign_depths(const std::vector<Node>& pool, int idx, int depth,
-                   std::vector<std::uint8_t>& lengths) {
-  const Node& n = pool[static_cast<std::size_t>(idx)];
-  if (n.left < 0) {
-    lengths[static_cast<std::size_t>(n.symbol)] =
-        static_cast<std::uint8_t>(std::max(depth, 1));
-    return;
+/// Give every leaf its depth as code length (a lone root leaf gets 1).
+/// Iterative: a merge appends its node after both children, so scanning the
+/// pool backwards from the root reaches every parent before its children.
+void assign_depths(std::vector<Node>& pool, std::vector<std::uint8_t>& lengths) {
+  pool.back().depth = 0;
+  for (std::size_t i = pool.size(); i-- > 0;) {
+    const Node& n = pool[i];
+    if (n.left < 0) {
+      lengths[static_cast<std::size_t>(n.symbol)] =
+          static_cast<std::uint8_t>(std::max(n.depth, 1));
+      continue;
+    }
+    pool[static_cast<std::size_t>(n.left)].depth = n.depth + 1;
+    pool[static_cast<std::size_t>(n.right)].depth = n.depth + 1;
   }
-  assign_depths(pool, n.left, depth + 1, lengths);
-  assign_depths(pool, n.right, depth + 1, lengths);
 }
 
 /// Clamp lengths to kMaxCodeLen and repair the Kraft inequality so a valid
@@ -62,34 +67,41 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 
   std::vector<Node> pool;
   pool.reserve(freqs.size() * 2);
-  using Entry = std::pair<std::uint64_t, int>;  // (freq, pool index)
-  // The heap never outgrows its seeded storage: n leaves go in, and every
-  // merge pops two entries before pushing one.
-  std::vector<Entry> heap_storage;
-  heap_storage.reserve(freqs.size());
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
-      std::greater<>{}, std::move(heap_storage));
   for (std::size_t s = 0; s < freqs.size(); ++s) {
     if (freqs[s] == 0) continue;
-    pool.push_back({freqs[s], -1, -1, static_cast<int>(s)});
-    // alloc: ok(pushes into the storage reserved above; bounded by the alphabet size)
-    heap.emplace(freqs[s], static_cast<int>(pool.size() - 1));
+    pool.push_back({freqs[s], -1, -1, static_cast<int>(s), 0});
   }
-  if (heap.empty()) return lengths;
-  if (heap.size() == 1) {
+  const std::size_t leaves = pool.size();
+  if (leaves == 0) return lengths;
+  if (leaves == 1) {
     lengths[static_cast<std::size_t>(pool[0].symbol)] = 1;
     return lengths;
   }
-  while (heap.size() > 1) {
-    const auto [fa, a] = heap.top();
-    heap.pop();
-    const auto [fb, b] = heap.top();
-    heap.pop();
-    pool.push_back({fa + fb, a, b, -1});
-    // alloc: ok(two pops precede this push, so the reserved storage never grows)
-    heap.emplace(fa + fb, static_cast<int>(pool.size() - 1));
+  // Two-queue construction: the leaves sorted by (freq, index), and the
+  // merged nodes in creation order, which is already (freq, index) order
+  // because merge sums never decrease. Taking the smaller head each time
+  // merges exactly the pairs a min-heap over (freq, index) would.
+  const auto before = [&](std::size_t a, std::size_t b) {
+    return pool[a].freq != pool[b].freq ? pool[a].freq < pool[b].freq : a < b;
+  };
+  std::vector<std::size_t> order(leaves);  // alloc: ok(one per block, bounded by the alphabet size)
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), before);
+  std::size_t next_leaf = 0;
+  std::size_t next_merged = leaves;
+  const auto take = [&]() {
+    if (next_leaf < leaves && (next_merged == pool.size() || before(order[next_leaf], next_merged))) {
+      return order[next_leaf++];
+    }
+    return next_merged++;
+  };
+  while ((leaves - next_leaf) + (pool.size() - next_merged) > 1) {
+    const std::size_t a = take();
+    const std::size_t b = take();
+    // alloc: ok(pushes into the storage reserved above: n - 1 merges of n leaves)
+    pool.push_back({pool[a].freq + pool[b].freq, static_cast<int>(a), static_cast<int>(b), -1, 0});
   }
-  assign_depths(pool, heap.top().second, 0, lengths);
+  assign_depths(pool, lengths);
   limit_lengths(lengths);
   return lengths;
 }
@@ -119,33 +131,51 @@ void HuffmanEncoder::encode(BitWriter& w, std::size_t symbol) const {
   w.write_bits(codes_[symbol], lengths_[symbol]);
 }
 
-HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths) {
+HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
+  if (lengths.size() > kMaxSymbols) {
+    throw std::invalid_argument("huffman: alphabet too large");
+  }
   for (auto len : lengths) {
     if (len > kMaxCodeLen) throw std::invalid_argument("huffman: code length > 15");
     if (len) ++count_[len];
   }
+  std::int32_t left = 1;  // unassigned codes of the current length
   std::uint32_t code = 0;
   std::uint32_t index = 0;
   for (int len = 1; len <= kMaxCodeLen; ++len) {
+    left = 2 * left - static_cast<std::int32_t>(count_[len]);
+    if (left < 0) throw std::invalid_argument("huffman: over-subscribed code");
     code = (code + count_[len - 1]) << 1;
     first_code_[len] = code;
     first_index_[len] = index;
     index += count_[len];
   }
-  symbols_.resize(index);
-  std::uint32_t next[kMaxCodeLen + 1];
-  std::copy(std::begin(first_index_), std::end(first_index_), next);
+  std::uint32_t next_index[kMaxCodeLen + 1];
+  std::copy(std::begin(first_index_), std::end(first_index_), next_index);
   for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s]) symbols_[next[lengths[s]]++] = static_cast<std::uint32_t>(s);
+    if (lengths[s]) symbols_[next_index[lengths[s]]++] = static_cast<std::uint16_t>(s);
+  }
+  // Canonical codes of one length are consecutive in symbol order, so each
+  // short code covers one contiguous run of fast_ entries.
+  for (int len = 1; len <= kFastBits; ++len) {
+    const std::uint32_t span = 1u << (kFastBits - len);
+    for (std::uint32_t i = 0; i < count_[len]; ++i) {
+      const auto entry = static_cast<std::uint16_t>(
+          (len << kSymbolBits) | symbols_[first_index_[len] + i]);
+      const std::uint32_t start = (first_code_[len] + i) * span;
+      std::fill_n(fast_ + start, span, entry);
+    }
   }
 }
 
-std::size_t HuffmanDecoder::decode(BitReader& r) const {
-  std::uint32_t code = 0;
-  for (int len = 1; len <= kMaxCodeLen; ++len) {
-    code = (code << 1) | r.read_bit();
-    if (count_[len] != 0 && code < first_code_[len] + count_[len] && code >= first_code_[len]) {
-      return symbols_[first_index_[len] + (code - first_code_[len])];
+std::size_t HuffmanDecoder::decode_long(BitReader& r) const {
+  const std::uint32_t bits = r.peek(kMaxCodeLen);
+  for (int len = kFastBits + 1; len <= kMaxCodeLen; ++len) {
+    const std::uint32_t offset = (bits >> (kMaxCodeLen - len)) - first_code_[len];
+    if (offset < count_[len]) {
+      if (len > r.available()) throw std::invalid_argument("huffman: truncated code");
+      r.consume(len);
+      return symbols_[first_index_[len] + offset];
     }
   }
   throw std::invalid_argument("huffman: invalid code in stream");

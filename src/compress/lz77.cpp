@@ -1,6 +1,8 @@
 #include "compress/lz77.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "util/contracts.hpp"
 
@@ -18,9 +20,25 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/// Length of the common prefix of `a` and `b`, at most `limit`; compares
+/// eight bytes per step and locates the first difference in the last word.
 inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
                                 std::size_t limit) {
   std::size_t n = 0;
+  while (n + 8 <= limit) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a + n, 8);
+    std::memcpy(&y, b + n, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return n + static_cast<std::size_t>(std::countr_zero(diff) >> 3);
+      } else {
+        return n + static_cast<std::size_t>(std::countl_zero(diff) >> 3);
+      }
+    }
+    n += 8;
+  }
   while (n < limit && a[n] == b[n]) ++n;
   return n;
 }
@@ -85,11 +103,17 @@ std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params
       while (cand != 0 && chain-- > 0) {
         const std::size_t cpos = cand - 1;
         if (pos - cpos > kWindowSize) break;
-        const std::size_t len = match_length(data + cpos, data + pos, limit);
-        if (len > best_len) {
-          best_len = len;
-          best_dist = pos - cpos;
-          if (len >= params.good_enough || len == limit) break;
+        // zlib's scan_end test: a candidate that differs at best_len (or at
+        // its first byte, a hash collision) cannot beat the current best,
+        // so skip the full comparison. best_len < limit here, or the loop
+        // would have stopped.
+        if (data[cpos + best_len] == data[pos + best_len] && data[cpos] == data[pos]) {
+          const std::size_t len = match_length(data + cpos, data + pos, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = pos - cpos;
+            if (len >= params.good_enough || len == limit) break;
+          }
         }
         cand = prev[cpos % kWindowSize];
       }

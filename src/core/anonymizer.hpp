@@ -7,7 +7,7 @@
 // documents shared it, and keep only chunks common with at least M of them
 // (M = 0 no privacy, M = 1 the basic scheme, rule of thumb N >= 2M).
 //
-// The chunk commonality signal comes straight from the Vdelta matcher's
+// The chunk commonality signal comes straight from the delta matcher's
 // COPY coverage (delta::EncodeResult::chunk_used), so anonymization reuses
 // the same delta computations the selector needs — concurrently, as §V
 // notes.
@@ -27,7 +27,9 @@ namespace cbde::core {
 struct AnonymizerConfig {
   std::size_t min_common = 2;    ///< M — chunk kept if common with >= M docs
   std::size_t required_docs = 5; ///< N — documents (distinct users) to observe
-  delta::DeltaParams delta_params = delta::DeltaParams::full();
+  /// Codec whose COPY coverage supplies the chunk commonality signal; the
+  /// same rolling matcher the transmit path runs.
+  delta::DeltaParams delta_params = delta::DeltaParams::correcting();
 };
 
 /// Shared registry counters (per-class anonymizers all point at the owning

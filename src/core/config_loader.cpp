@@ -127,7 +127,7 @@ LoadedConfig load_config(std::istream& in) {
         server.transmit_params.min_match = parse_u64(value, line_no);
       } else if (key == "delta-codec") {
         if (value == "hash-chain") {
-          server.transmit_params.codec = delta::DeltaParams::Codec::kHashChain;
+          server.transmit_params = delta::DeltaParams::full();
         } else if (value == "one-pass") {
           server.transmit_params = delta::DeltaParams::one_pass();
         } else if (value == "correcting") {
@@ -257,15 +257,14 @@ obs-histogram-buckets = 4
 # obs-event-log       = /var/log/cbde/events.jsonl
 # obs-lock-profile    = true   # timed mutex acquisition -> cbde_lock_wait_seconds_*
 
-# Transmission delta tuning (defaults are the Vdelta full parameterization;
-# ranges are checked at load time).
-delta-key-len    = 4       # match key width in bytes
-delta-index-step = 1       # index every step-th base position
-delta-max-chain  = 32      # candidate matches probed per position
+# Transmission delta codec and tuning (the default is the Karp-Rabin
+# correcting codec; ranges are checked at load time).
+delta-codec      = correcting  # or one-pass / hash-chain; selecting one loads
+                               # its preset, so delta-* overrides go after it
+delta-key-len    = 16      # fingerprint window (hash-chain: match key width)
 delta-min-match  = 32      # shortest match worth a COPY
-# delta-codec    = hash-chain  # or one-pass / correcting (O(1)-state rolling
-#                              # matchers; selecting one loads its preset, so
-#                              # put delta-* overrides after this line)
+# delta-index-step = 1     # hash-chain only: index every step-th base position
+# delta-max-chain  = 32    # hash-chain only: candidates probed per position
 
 [site www.foo.com]
 # Table I row 1 organization: /laptops?id=100

@@ -132,6 +132,13 @@ std::size_t DeltaServer::shard_of_class(ClassId id) const {
 }
 
 ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
+                                  util::BytesView doc, util::SimTime now) {
+  CBDE_EXPECT(!url.host.empty());
+  CBDE_EXPECT(now >= 0);
+  return serve(user_id, url, doc, now, obs_->maybe_trace());
+}
+
+ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
                                   util::BytesView doc, util::SimTime now,
                                   std::shared_ptr<obs::TraceContext> trace) {
   CBDE_EXPECT(!url.host.empty());
@@ -313,7 +320,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
   out.doc_size = doc.size();
   out.shard = index_;
   const std::uint64_t serve_start = obs::now_us();
-  if (trace == nullptr) trace = obs_.maybe_trace();
   obs::TraceContext* tc = trace.get();
   obs::Span serve_span(tc, "serve");
   instr_.doc_size->observe(doc.size());

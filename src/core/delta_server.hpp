@@ -70,7 +70,11 @@ struct DeltaServerConfig {
   /// classless-vs-class ablations use this).
   bool anonymize = true;
   bool compress_deltas = true;
-  delta::DeltaParams transmit_params = delta::DeltaParams::full();
+  /// Codec of every per-request delta. The Karp-Rabin correcting codec
+  /// compresses to the same wire size as the full hash-chain index at a
+  /// fraction of its encode time (docs/PERFORMANCE.md, codec family);
+  /// grouping probes and selector scoring keep their own `light` params.
+  delta::DeltaParams transmit_params = delta::DeltaParams::correcting();
   compress::CompressParams compress_params = {};
   /// Uncompressed delta larger than this fraction of the document counts as
   /// "relatively large" for basic-rebase purposes.
@@ -213,7 +217,8 @@ class DeltaServerShard {
   /// One request, already partitioned and routed here. Same three-phase
   /// shape the unsharded server had — locked bookkeeping/grouping, unlocked
   /// encode+compress against an encoder snapshot, locked commit — except mu_
-  /// now serializes only this shard's classes.
+  /// now serializes only this shard's classes. `trace` is the router's
+  /// final sampling decision (null = untraced).
   ServedResponse serve(std::uint64_t user_id, const http::UrlParts& parts,
                        const http::Url& url, util::BytesView doc, util::SimTime now,
                        std::shared_ptr<obs::TraceContext> trace) EXCLUDES(mu_);
@@ -326,13 +331,16 @@ class DeltaServer {
   /// immutable), the request routes to its shard, and only that shard's
   /// mutex is ever taken — requests on different shards proceed fully in
   /// parallel. See DeltaServerShard::serve for the three-phase shape.
-  /// `trace` carries an already-sampled trace context (the worker pool
-  /// passes the one it opened at submit time, so queue wait and serve stages
-  /// land in the same trace); null lets serve() make its own sampling
-  /// decision via Obs::maybe_trace().
+  /// Samples the request itself via Obs::maybe_trace().
   ServedResponse serve(std::uint64_t user_id, const http::Url& url, util::BytesView doc,
-                       util::SimTime now,
-                       std::shared_ptr<obs::TraceContext> trace = nullptr);
+                       util::SimTime now);
+
+  /// serve() for a request whose sampling decision was made upstream and is
+  /// final: `trace` is the context to record into, or null for an untraced
+  /// request, and serve() draws no second sample. The worker pool decides at
+  /// submit time, so queue wait and serve stages land in the same trace.
+  ServedResponse serve(std::uint64_t user_id, const http::Url& url, util::BytesView doc,
+                       util::SimTime now, std::shared_ptr<obs::TraceContext> trace);
 
   /// Published (client-visible) base-file of a class, if any; served by the
   /// owning shard.

@@ -517,12 +517,17 @@ util::Bytes apply(util::BytesView base, util::BytesView delta) {
 }
 
 void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out) {
+  apply_into(base, util::crc32(base), delta, out);
+}
+
+void apply_into(util::BytesView base, std::uint32_t base_crc, util::BytesView delta,
+                util::Bytes& out) {
   // The base comes from the trusted side (our own store); only the delta is
   // untrusted. A base above the decode cap can never match a valid header.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
   std::size_t pos = 0;
   const DeltaInfo info = parse_header(delta, pos);
-  if (info.base_size != base.size() || info.base_crc != util::crc32(base)) {
+  if (info.base_size != base.size() || info.base_crc != base_crc) {
     throw CorruptDelta("delta: base-file mismatch");
   }
   out.clear();

@@ -200,6 +200,13 @@ util::Bytes apply(util::BytesView base, util::BytesView delta);
 /// as apply(); fuzzed differentially against it.
 void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out);
 
+/// apply_into() for a caller that keeps `base`'s crc32 next to it (a client
+/// hashes each stored base once, not once per delta). `base_crc` must be
+/// crc32(base): the header's base crc is checked against it instead of
+/// re-hashing the base, and the target crc is verified as always.
+void apply_into(util::BytesView base, std::uint32_t base_crc, util::BytesView delta,
+                util::Bytes& out);
+
 /// Parsed header of a delta, for inspection without applying it.
 struct DeltaInfo {
   std::size_t base_size = 0;

@@ -178,7 +178,6 @@ FootprintTable::FootprintTable(util::BytesView base, std::size_t window)
   // Positions are stored +1 in 32 bits; the decode cap already keeps every
   // servable document far below that.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
-  fp_.assign(kFootprintSlots, 0);
   pos_.assign(kFootprintSlots, 0);
   if (base.size() < window) return;
   const std::uint64_t lead = leading_weight(window);
@@ -187,10 +186,7 @@ FootprintTable::FootprintTable(util::BytesView base, std::size_t window)
     // First-come-wins: earlier base positions keep their slot, so probes are
     // deterministic and biased toward small COPY addresses.
     const std::size_t slot = static_cast<std::size_t>(h) & (kFootprintSlots - 1);
-    if (pos_[slot] == 0) {
-      fp_[slot] = h;
-      pos_[slot] = static_cast<std::uint32_t>(p + 1);
-    }
+    if (pos_[slot] == 0) pos_[slot] = static_cast<std::uint32_t>(p + 1);
     if (p + window >= base.size()) break;
     h = roll(h, lead, base[p], base[p + window]);
   }

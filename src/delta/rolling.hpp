@@ -47,8 +47,13 @@ inline constexpr std::size_t kFootprintSlots = std::size_t{1} << 16;
 inline constexpr std::size_t kMaxCorrectionBack = 1024;
 
 /// Karp-Rabin fingerprint index over every window of the base, folded into
-/// a fixed-size first-come-wins table. Immutable once built; safe to share
-/// across threads. Build cost is one rolling pass over the base.
+/// a fixed-size first-come-wins table of base positions (2^16 x 4 bytes).
+/// Only positions are kept: a probe returns whatever window owns the slot
+/// and the caller's byte comparison rejects mismatches, which a stored
+/// fingerprint could only reject earlier — equal windows always have equal
+/// fingerprints, so the matches found are the same. Immutable once built;
+/// safe to share across threads. Build cost is one rolling pass over the
+/// base.
 class FootprintTable {
  public:
   static constexpr std::size_t npos = ~std::size_t{0};
@@ -59,17 +64,16 @@ class FootprintTable {
 
   std::size_t window() const { return window_; }
 
-  /// Base position whose window fingerprint equals `fp`, or npos. The hit
-  /// is a fingerprint match only — the caller must verify the window bytes.
+  /// Base position of the first window whose fingerprint fell in `fp`'s
+  /// slot, or npos for an empty slot. The hit is a slot match only — the
+  /// caller must verify the window bytes.
   std::size_t probe(std::uint64_t fp) const {
     const std::size_t slot = static_cast<std::size_t>(fp) & (kFootprintSlots - 1);
-    if (pos_[slot] == 0 || fp_[slot] != fp) return npos;
-    return static_cast<std::size_t>(pos_[slot]) - 1;
+    return pos_[slot] == 0 ? npos : static_cast<std::size_t>(pos_[slot]) - 1;
   }
 
  private:
   std::size_t window_;
-  std::vector<std::uint64_t> fp_;
   std::vector<std::uint32_t> pos_;  // base position + 1; 0 = empty slot
 };
 

@@ -245,7 +245,10 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
     }
   }
 
-  // Per-shard request rates and the imbalance coefficient.
+  // Per-shard request rates and the imbalance coefficient. The coefficient
+  // comes from the window's request counts, not the rates: the span
+  // cancels, and count arithmetic keeps 30 vs 10 at exactly 1.5 where
+  // dividing each count by the span first can round it off.
   std::size_t max_shard = 0;
   bool any_shard = false;
   for (const auto& [name, delta] : w.counter_delta) {
@@ -257,20 +260,21 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
   }
   if (any_shard) {
     w.shard_rate.assign(max_shard + 1, 0.0);
-    for (const auto& [name, rate] : w.counter_rate) {
+    std::vector<double> shard_count(max_shard + 1, 0.0);
+    for (const auto& [name, delta] : w.counter_delta) {
       std::size_t shard = 0;
       if (parse_shard_series(name, "requests_total", &shard)) {
-        w.shard_rate[shard] = rate;
+        shard_count[shard] = delta;
+        w.shard_rate[shard] = w.counter_rate[name];
       }
     }
     double sum = 0.0;
     double peak = 0.0;
-    for (const double rate : w.shard_rate) {
-      sum += rate;
-      peak = std::max(peak, rate);
+    for (const double count : shard_count) {
+      sum += count;
+      peak = std::max(peak, count);
     }
-    const double mean = sum / static_cast<double>(w.shard_rate.size());
-    w.imbalance = mean > 0 ? peak / mean : 0.0;
+    w.imbalance = sum > 0 ? peak * static_cast<double>(shard_count.size()) / sum : 0.0;
   }
 
   // Serve quantiles merged across shards (equal resolution by construction:

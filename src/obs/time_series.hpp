@@ -16,6 +16,8 @@
 //   * shard_rate[k]   — Δ cbde_shard_<k>_requests_total / window seconds;
 //   * imbalance       — max(shard_rate) / mean(shard_rate), 1.0 = perfectly
 //                       balanced, 0 when the window saw no shard traffic;
+//                       computed from the per-shard request counts, so it
+//                       is exact for exact count ratios;
 //   * serve quantiles — p50/p95/p99 of the per-shard serve histograms
 //                       merged across shards (µs);
 //   * lock_wait_share — Δ seconds spent waiting in cbde_lock_wait_seconds_*

@@ -82,6 +82,26 @@ TEST(ClientAgent, StaleBaseContentDetected) {
   EXPECT_EQ(agent.stats().reconstruction_failures, 1u);
 }
 
+TEST(ClientAgent, CachedBaseCrcFollowsTheStoredBase) {
+  // The base crc is hashed once per store_base; replacing a slot's bytes
+  // must replace its crc too, so a delta for the old bytes is rejected and
+  // one for the new bytes applies.
+  Fixture f;
+  ClientAgent agent;
+  Bytes other = f.base;
+  other[7] ^= 0x5A;  // same size, different content
+  agent.store_base(BaseRef{1, 1}, f.base);
+  const auto for_other = delta::encode(as_view(other), as_view(f.doc)).delta;
+  EXPECT_THROW(agent.reconstruct(BaseRef{1, 1}, as_view(for_other), false),
+               delta::CorruptDelta);
+  agent.store_base(BaseRef{1, 1}, other);
+  EXPECT_EQ(agent.reconstruct(BaseRef{1, 1}, as_view(for_other), false), f.doc);
+  const auto for_base = delta::encode(as_view(f.base), as_view(f.doc)).delta;
+  EXPECT_THROW(agent.reconstruct(BaseRef{1, 1}, as_view(for_base), false),
+               delta::CorruptDelta);
+  EXPECT_EQ(agent.stats().reconstruction_failures, 2u);
+}
+
 TEST(ClientAgent, CorruptCompressedWireDetected) {
   Fixture f;
   ClientAgent agent;

@@ -127,10 +127,10 @@ TEST(ConfigLoader, DeltaParamsParsed) {
 TEST(ConfigLoader, DeltaCodecSelection) {
   using Codec = delta::DeltaParams::Codec;
   EXPECT_EQ(parse("[delta-server]\n").server.transmit_params.codec,
-            Codec::kHashChain);  // default unchanged
-  EXPECT_EQ(parse("[delta-server]\ndelta-codec = hash-chain\n")
-                .server.transmit_params.codec,
-            Codec::kHashChain);
+            Codec::kCorrecting);  // the default
+  const auto chain = parse("[delta-server]\ndelta-codec = hash-chain\n");
+  EXPECT_EQ(chain.server.transmit_params.codec, Codec::kHashChain);
+  EXPECT_EQ(chain.server.transmit_params.key_len, 4u);  // full() preset loaded
 
   const auto one = parse("[delta-server]\ndelta-codec = one-pass\n");
   EXPECT_EQ(one.server.transmit_params.codec, Codec::kOnePass);

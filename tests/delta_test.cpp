@@ -514,6 +514,29 @@ TEST(Delta, GoldenMixedBaseAndSelfCopiesMatchReference) {
   EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
 }
 
+TEST(Delta, ApplyIntoWithStoredBaseCrc) {
+  util::Rng rng(41);
+  Bytes base(2000);
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_below(256));
+  Bytes target = base;
+  target[500] ^= 0xFF;
+  const Bytes delta = encode(as_view(base), as_view(target)).delta;
+  const std::uint32_t crc = util::crc32(as_view(base));
+  Bytes out;
+  apply_into(as_view(base), crc, as_view(delta), out);
+  EXPECT_EQ(out, target);
+
+  // A base whose crc does not match the header's is rejected as before.
+  EXPECT_THROW(apply_into(as_view(base), crc ^ 1u, as_view(delta), out), CorruptDelta);
+  Bytes other = base;
+  other[1500] ^= 0x20;  // inside a COPY from the base
+  EXPECT_THROW(apply_into(as_view(other), util::crc32(as_view(other)), as_view(delta), out),
+               CorruptDelta);
+  // A caller vouching for the wrong bytes with the right crc still fails:
+  // the target crc is verified on every apply.
+  EXPECT_THROW(apply_into(as_view(other), crc, as_view(delta), out), CorruptDelta);
+}
+
 TEST(Delta, GoldenSelfCopyPastFrontierRejected) {
   // A self-copy may start at most at the frontier; one past it reads a byte
   // that does not exist yet in any decode order.

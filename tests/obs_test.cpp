@@ -367,6 +367,32 @@ TEST(ObsTrace, QueueSpanJoinsTheServeTraceAcrossThePool) {
   EXPECT_EQ(wait->count(), 1u);
 }
 
+TEST(ObsTrace, PoolSamplingDecisionIsFinal) {
+  // The pool draws the sampling decision at submit; serve() must not draw
+  // again for the requests the pool left untraced. Each request completes
+  // before the next is submitted, the interleaving in which a second draw
+  // shifted every later submit off the sampled parity.
+  if (kCompiledOut) GTEST_SKIP() << "spans compiled out";
+  Rig rig(/*sample_rate=*/0.5);
+  const util::SimTime now = rig.warm_up();
+  core::DeltaWorkerPool pool(rig.server, /*workers=*/2);
+  constexpr int kRequests = 100;
+  int traced = 0;
+  int with_queue_span = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const trace::DocRef ref{static_cast<std::size_t>(i % 2), static_cast<std::size_t>(i % 10)};
+    const auto user = static_cast<std::uint64_t>(10 + i % 7);
+    const auto resp = pool.submit(user, rig.site.url_for(ref),
+                                  rig.site.generate(ref, user, now), now).get();
+    if (resp.trace == nullptr) continue;
+    ++traced;
+    if (find_span(resp.trace->spans(), "queue") != nullptr) ++with_queue_span;
+  }
+  pool.shutdown();
+  EXPECT_EQ(traced, kRequests / 2);
+  EXPECT_EQ(with_queue_span, traced);
+}
+
 TEST(ObsTrace, SamplingRateZeroMeansNoTraces) {
   Rig rig(/*sample_rate=*/0.0);
   const auto resp = rig.request(1, 0, 0, 0);
