@@ -101,7 +101,8 @@ class BaseFileSelector {
   /// Each stored candidate is held as an Encoder (score_params) so its
   /// match index is built once on admission; scoring a newcomer against K
   /// incumbents then costs K index-free size-only scans instead of K index
-  /// builds.
+  /// builds. The index is sized to the sample (~100 KiB for a 45 KB page
+  /// under light params; Encoder::index_bytes()).
   std::vector<std::unique_ptr<delta::Encoder>> candidates_;
   /// score_matrix_[i][j] = delta size with candidates_[i] as base and
   /// (candidates_ or references_)[j] as target, j != i for the one-set

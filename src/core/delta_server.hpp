@@ -381,7 +381,8 @@ class DeltaServer {
 
   /// Server-side storage the scheme requires: working + published bases and
   /// selector samples across all classes of all shards (the paper's
-  /// scalability metric).
+  /// scalability metric). Counts document bytes only, not the match
+  /// indexes built over them (delta::Encoder::index_bytes()).
   std::size_t storage_bytes() const;
 
   /// Merged operational snapshot of every class, ordered by class id.

@@ -74,23 +74,57 @@ inline std::size_t forward_match(const std::uint8_t* a, const std::uint8_t* b,
   return n;
 }
 
-/// Hash-chain index over base positions (every index_step-th position).
-/// Immutable once built; safe to share across threads.
+/// Hash-chain index over base positions (every index_step-th position),
+/// sized to the base. Immutable once built; safe to share across threads.
+///
+/// A probe's candidates are the indexed slots whose kHashBits-bit chunk hash
+/// equals the probe's, in increasing position, up to max_chain. The head
+/// table has 2^bits buckets, bits = ceil(log2(2 * slots)) capped at
+/// kHashBits, and a hash's bucket is its top `bits` bits. Below the cap a
+/// bucket chains several hash values, so each link also carries the hash's
+/// low kHashBits - bits bits (its tag) and the walk skips foreign-tag
+/// entries without counting them toward max_chain. A presence bitmap over
+/// the hash values answers most misses before the chain is touched.
+///
+/// A light index over a 45 KB page is ~100 KiB. At the cap (a full() index
+/// over a base above 32 KB) every bucket holds one hash value: no tags, no
+/// bitmap.
 class BaseIndex {
  public:
   BaseIndex(util::BytesView base, std::size_t key_len, std::size_t step)
-      : key_len_(key_len), step_(step), head_(kHashSize, 0) {
+      : key_len_(key_len), step_(step) {
     if (base.size() < key_len) return;
     const std::size_t slots = (base.size() - key_len) / step + 1;
-    prev_.assign(slots, 0);
+    const auto bits = std::min<std::size_t>(kHashBits, std::bit_width(2 * slots - 1));
+    tag_bits_ = static_cast<std::uint32_t>(kHashBits - bits);
+    tag_mask_ = (1u << tag_bits_) - 1;
+    buckets_ = std::size_t{1} << bits;
+    present_at_ = buckets_ + slots;
+    std::size_t present_words = 0;
+    if (tag_bits_ != 0) {
+      // One bit per hash value up to 2^kHashBits bits (16 KiB); smaller
+      // tables share a bit among neighbouring hash values, which can only
+      // send a probe on to its (exact) chain walk.
+      const std::size_t present_bits = std::min(kHashBits, bits + 3);
+      present_shift_ = static_cast<std::uint32_t>(kHashBits - present_bits);
+      present_words = ((std::size_t{1} << present_bits) + 31) / 32;
+    }
+    words_.assign(present_at_ + present_words, 0);
+    std::uint32_t* const head = words_.data();
+    std::uint32_t* const link = head + buckets_;
+    std::uint32_t* const present = head + present_at_;
     // Insert from the end so chains are walked front-to-back; earlier base
     // positions are tried first, which biases COPY addresses low (slightly
     // smaller varints) and is deterministic.
     for (std::size_t s = slots; s-- > 0;) {
-      const std::size_t pos = s * step;
-      const std::uint32_t h = chunk_hash(base.data() + pos, key_len);
-      prev_[s] = head_[h];
-      head_[h] = static_cast<std::uint32_t>(s + 1);
+      const std::uint32_t h = chunk_hash(base.data() + s * step, key_len);
+      std::uint32_t& first = head[h >> tag_bits_];
+      link[s] = (first << tag_bits_) | (h & tag_mask_);
+      first = static_cast<std::uint32_t>(s + 1);
+      if (present_words != 0) {
+        const std::uint32_t bit = h >> present_shift_;
+        present[bit >> 5] |= 1u << (bit & 31);
+      }
     }
   }
 
@@ -98,19 +132,40 @@ class BaseIndex {
   /// max_chain of them. `fn(pos)` returns false to stop early.
   template <typename Fn>
   void for_candidates(const std::uint8_t* p, std::size_t max_chain, Fn&& fn) const {
-    if (prev_.empty()) return;
-    std::uint32_t slot = head_[chunk_hash(p, key_len_)];
-    while (slot != 0 && max_chain-- > 0) {
-      if (!fn((slot - 1) * step_)) return;
-      slot = prev_[slot - 1];
+    if (words_.empty()) return;
+    const std::uint32_t h = chunk_hash(p, key_len_);
+    const std::uint32_t* const head = words_.data();
+    if (tag_bits_ != 0) {
+      const std::uint32_t bit = h >> present_shift_;
+      if (((head[present_at_ + (bit >> 5)] >> (bit & 31)) & 1) == 0) return;
+    }
+    const std::uint32_t* const link = head + buckets_;
+    const std::uint32_t tag = h & tag_mask_;
+    std::uint32_t slot = head[h >> tag_bits_];
+    while (slot != 0) {
+      const std::uint32_t next = link[slot - 1];
+      if ((next & tag_mask_) == tag) {
+        if (!fn((slot - 1) * step_) || --max_chain == 0) return;
+      }
+      slot = next >> tag_bits_;
     }
   }
+
+  /// Heap bytes held by the index.
+  std::size_t bytes() const { return words_.size() * sizeof(std::uint32_t); }
 
  private:
   std::size_t key_len_;
   std::size_t step_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> prev_;
+  std::uint32_t tag_bits_ = 0;  // hash bits below the bucket number
+  std::uint32_t tag_mask_ = 0;
+  std::uint32_t present_shift_ = 0;  // hash -> presence bit
+  std::size_t buckets_ = 0;
+  std::size_t present_at_ = 0;  // offset of the presence bitmap in words_
+  // One allocation: the head table (bucket -> first slot + 1, 0 = empty),
+  // the links (slot -> (next slot + 1) << tag_bits_ | tag), and below the
+  // cap the presence bitmap.
+  std::vector<std::uint32_t> words_;
 };
 
 /// Reusable per-thread scratch for the self-reference target index. The
@@ -404,7 +459,7 @@ struct Encoder::Impl {
   DeltaParams params;
   std::uint32_t crc;
   // Exactly one of the two indexes is built, matching params.codec: the
-  // rolling codecs never touch the 512 KB hash-chain table and vice versa.
+  // rolling codecs never touch the hash-chain index and vice versa.
   std::optional<BaseIndex> index;
   std::optional<rolling::FootprintTable> footprints;
 
@@ -437,6 +492,9 @@ const std::shared_ptr<const util::Bytes>& Encoder::shared_base() const {
 }
 const DeltaParams& Encoder::params() const { return impl_->params; }
 std::uint32_t Encoder::base_crc() const { return impl_->crc; }
+std::size_t Encoder::index_bytes() const {
+  return impl_->index ? impl_->index->bytes() : impl_->footprints->bytes();
+}
 
 EncodeResult Encoder::encode(util::BytesView target) const {
   const util::BytesView base = util::as_view(*impl_->base_bytes);

@@ -133,9 +133,10 @@ struct EncodeResult {
 
 /// Reusable encoder: owns a base-file plus its prebuilt match index, and
 /// encodes any number of targets against it. Building the index costs
-/// O(base) time and a 512 KB hash-table zeroing; amortizing that across
-/// requests (the base changes only on rebase/anonymize) is the difference
-/// between a per-request and a per-rebase cost.
+/// O(base) time and memory (the hash-chain head table is sized to the
+/// indexed positions, up to 512 KB; see docs/PERFORMANCE.md); amortizing
+/// that across requests (the base changes only on rebase/anonymize) is the
+/// difference between a per-request and a per-rebase cost.
 ///
 /// encode()/encode_size() are const and safe to call concurrently from
 /// multiple threads: per-call scratch (the self-reference target index)
@@ -163,6 +164,8 @@ class Encoder {
   const DeltaParams& params() const;
   /// crc32 of the base, computed once at construction.
   std::uint32_t base_crc() const;
+  /// Heap bytes held by the match index (not counting the base itself).
+  std::size_t index_bytes() const;
 
   /// Compute the delta that transforms the owned base into `target`.
   /// Byte-identical to the one-shot encode() free function.

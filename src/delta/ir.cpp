@@ -280,9 +280,10 @@ util::Bytes lower(const Program& program) {
   if (program.scratch_bytes > kMaxInPlaceScratch) {
     throw std::invalid_argument("ir: program scratch demand exceeds cap");
   }
-  util::Bytes out;
+  // Seeded with the magic, then grown once: appending it to a freshly
+  // reserved empty vector trips GCC 12's -Wstringop-overflow.
+  util::Bytes out = util::to_bytes("CBDP");
   out.reserve(32 + program.data.size() + program.insts.size() * 6);
-  util::append(out, std::string_view("CBDP"));
   util::put_uvarint(out, program.base_size);
   util::put_uvarint(out, program.target_size);
   put_u32le(out, program.base_crc);

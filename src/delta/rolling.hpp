@@ -63,6 +63,8 @@ class FootprintTable {
   FootprintTable(util::BytesView base, std::size_t window);
 
   std::size_t window() const { return window_; }
+  /// Heap bytes held by the table.
+  std::size_t bytes() const { return pos_.size() * sizeof(std::uint32_t); }
 
   /// Base position of the first window whose fingerprint fell in `fp`'s
   /// slot, or npos for an empty slot. The hit is a slot match only — the

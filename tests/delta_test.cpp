@@ -360,6 +360,27 @@ TEST(Encoder, EstimateDeltaSizeMatchesEncodeExactly) {
   }
 }
 
+TEST(Encoder, IndexSizedToBase) {
+  // A light index over a 45 KB page (5 760 indexed slots at index_step 8)
+  // fits in 128 KiB; a fixed 2^17-bucket head table alone was 512 KiB.
+  const Bytes page = random_bytes(91, 45 * 1024);
+  EXPECT_LE(Encoder(page, DeltaParams::light()).index_bytes(), std::size_t{128} << 10);
+  // A full() index is never larger than that fixed table plus one 4-byte
+  // link per indexed position.
+  for (const std::size_t size : {100, 31 * 1024, 45 * 1024, 200 * 1024}) {
+    const Bytes base = random_bytes(size, size);
+    const std::size_t slots = size - DeltaParams::full().key_len + 1;
+    EXPECT_LE(Encoder(base, DeltaParams::full()).index_bytes(),
+              ((std::size_t{1} << 17) + slots) * sizeof(std::uint32_t))
+        << size;
+  }
+  // No indexable position, no table.
+  for (const DeltaParams& params : {DeltaParams::full(), DeltaParams::light()}) {
+    EXPECT_EQ(Encoder(Bytes{}, params).index_bytes(), 0u);
+    EXPECT_EQ(Encoder(random_bytes(5, params.key_len - 1), params).index_bytes(), 0u);
+  }
+}
+
 TEST(Delta, ValidateReportsBadParams) {
   EXPECT_FALSE(validate(DeltaParams::full()).has_value());
   EXPECT_FALSE(validate(DeltaParams::light()).has_value());
